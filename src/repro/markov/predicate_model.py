@@ -51,7 +51,7 @@ from ..prolog.terms import (
 from .clause_model import SequenceEvaluation, evaluate_sequence
 from .goal_stats import GoalStats
 
-__all__ = ["CostModel", "head_match_probability"]
+__all__ = ["CostModel", "FACT_BODY_EVALUATION", "head_match_probability"]
 
 Indicator = Tuple[str, int]
 
@@ -60,6 +60,11 @@ _RECURSIVE_FALLBACK = GoalStats(cost=20.0, solutions=1.0, prob=0.5)
 #: Default match probability for a non-constant (structured) head
 #: argument against an instantiated call argument.
 _STRUCT_MATCH_PROB = 0.5
+#: Chain evaluation of a ``true`` body: one free, certain goal, whatever
+#: the calling mode.
+FACT_BODY_EVALUATION = evaluate_sequence(
+    [GoalStats(cost=0.0, solutions=1.0, prob=1.0)]
+)
 
 
 def head_match_probability(
@@ -255,6 +260,8 @@ class CostModel:
         self, clause: Clause, input_mode: Mode
     ) -> Optional[SequenceEvaluation]:
         """Chain evaluation of a clause body under an input mode."""
+        if clause.is_fact:
+            return FACT_BODY_EVALUATION
         states: VarState = {}
         bind_head_states(clause.head, input_mode, states)
         goals = body_goals(clause.body)

@@ -16,7 +16,7 @@ Two styles are offered:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .reader.operators import MAX_PRIORITY, OperatorTable, standard_operators
 from .terms import (
@@ -29,7 +29,18 @@ from .terms import (
     is_number,
 )
 
-__all__ = ["term_to_string", "clause_to_string", "program_to_string", "TermWriter"]
+__all__ = [
+    "term_to_string",
+    "clause_to_string",
+    "clause_key",
+    "program_to_string",
+    "TermWriter",
+]
+
+#: The table every writer without an explicit one renders with. Built
+#: once and never mutated: ``op/3`` directives extend a parser's or a
+#: database's own table, never this one.
+_STANDARD_OPERATORS = standard_operators()
 
 _UNQUOTED_SOLO = {"[]", "{}", "!", ";", ",", "|"}
 _SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
@@ -56,7 +67,7 @@ class TermWriter:
     """Stateful writer: remembers variable display names per clause."""
 
     def __init__(self, operators: Optional[OperatorTable] = None):
-        self.operators = operators or standard_operators()
+        self.operators = operators if operators is not None else _STANDARD_OPERATORS
         self._var_names: Dict[int, str] = {}
         self._used_names: set = set()
 
@@ -177,6 +188,34 @@ def clause_to_string(
     if isinstance(clause, Struct) and clause.name == ":-" and clause.arity == 1:
         return f":- {writer.write(clause.args[0], 1199)}."
     return f"{writer.write(clause, 1199)}."
+
+
+def clause_key(clause: Term) -> Tuple[object, ...]:
+    """A structural key for ``clause`` that builds no text.
+
+    Two clauses get equal keys when :func:`clause_to_string` renders
+    them alike: the key lists the term in the order the writer visits
+    it, with functor names and arities, atoms, each number's type and
+    spelling (``1`` is not ``1.0``) and each variable's display name as
+    a fresh writer would assign it. The one place the key is finer than
+    the text is an operator atom written bare as an operator's operand:
+    ``-(-, -)`` and ``-(-(-))`` both print as ``- - -``.
+    """
+    writer = TermWriter()
+    tokens: List[object] = []
+    stack = [clause]
+    while stack:
+        term = deref(stack.pop())
+        if isinstance(term, Var):
+            tokens.append(writer._variable_name(term))
+        elif isinstance(term, Struct):
+            tokens.append((term.name, term.arity))
+            stack.extend(reversed(term.args))
+        elif isinstance(term, float):
+            tokens.append((float, repr(term)))
+        else:  # an interned Atom or an int
+            tokens.append(term)
+    return tuple(tokens)
 
 
 def program_to_string(

@@ -23,6 +23,13 @@ generate another order, so that we test only legal orders").
 Costs: multi-solution blocks are ranked by the all-solutions total
 cost; single-solution blocks (goals committed by a cut) by the Fig. 4
 single-solution expected cost.
+
+Every strategy reads goal statistics through one :class:`_GoalMemo` per
+:func:`find_best_order` call. A goal's statistics and the states it
+leaves behind depend only on the states of the goal's own variables
+(:meth:`CostModel.goal_stats` reads and writes nothing else), so the
+memo keys on (goal index, those states) and each distinct calling
+context is costed once, however many permutations or prefixes share it.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..markov.clause_model import SequenceEvaluation, evaluate_sequence
 from ..markov.goal_stats import GoalStats
 from ..markov.predicate_model import CostModel
-from ..analysis.modes import VarState
-from ..prolog.terms import Term
+from ..analysis.modes import Inst, VarState
+from ..prolog.terms import Term, term_variables
 from ..robustness.budget import Budget
 
 __all__ = [
@@ -133,6 +140,58 @@ def _order_cost(evaluation: SequenceEvaluation, multi_solution: bool) -> float:
     return evaluation.total_cost if multi_solution else evaluation.single_cost
 
 
+class _GoalMemo:
+    """Goal statistics of one block, costed once per calling context.
+
+    Entries are keyed by (goal index, the states of that goal's own
+    variables, None where a variable has none yet) and hold the goal's
+    :class:`GoalStats` (None when the call is illegal) with the states
+    of those variables afterwards. Exact because ``goal_stats`` reads
+    and writes no other variable; bounded because one memo serves one
+    :func:`find_best_order` call and dies with it.
+    """
+
+    def __init__(self, goals: Sequence[Term], model: CostModel):
+        self.goals = goals
+        self.model = model
+        self._variables = [
+            tuple(id(variable) for variable in term_variables(goal))
+            for goal in goals
+        ]
+        self._entries: Dict[
+            Tuple[int, Tuple[Optional[Inst], ...]],
+            Tuple[Optional[GoalStats], Tuple[Tuple[int, Inst], ...]],
+        ] = {}
+
+    def stats(self, index: int, states: VarState) -> Optional[GoalStats]:
+        """``model.goal_stats(goals[index], states)``, from the memo when
+        this context was seen before; ``states`` is advanced in place
+        (and is unspecified after an illegal call)."""
+        variables = self._variables[index]
+        key = (index, tuple(map(states.get, variables)))
+        entry = self._entries.get(key)
+        if entry is None:
+            stats = self.model.goal_stats(self.goals[index], states)
+            after = tuple((v, states[v]) for v in variables if v in states)
+            self._entries[key] = (stats, after)
+            return stats
+        states.update(entry[1])
+        return entry[0]
+
+    def evaluate(
+        self, order: Sequence[int], states: VarState
+    ) -> Optional[SequenceEvaluation]:
+        """``model.evaluate_goals`` over the goals in ``order``: None at
+        the first illegal call, else the chain evaluation."""
+        stats_list: List[GoalStats] = []
+        for index in order:
+            stats = self.stats(index, states)
+            if stats is None:
+                return None
+            stats_list.append(stats)
+        return evaluate_sequence(stats_list)
+
+
 def exhaustive_search(
     goals: Sequence[Term],
     states: VarState,
@@ -143,6 +202,7 @@ def exhaustive_search(
     budget: Optional[Budget] = None,
 ) -> Optional[OrderResult]:
     """Evaluate every legal permutation; None if none is legal."""
+    memo = _GoalMemo(goals, model)
     best: Optional[OrderResult] = None
     explored = 0
     for permutation in itertools.permutations(range(len(goals))):
@@ -154,9 +214,7 @@ def exhaustive_search(
         if counters is not None:
             counters.exhaustive_permutations += 1
         scratch = dict(states)
-        evaluation = model.evaluate_goals(
-            [goals[i] for i in permutation], scratch
-        )
+        evaluation = memo.evaluate(permutation, scratch)
         if evaluation is None:
             if counters is not None:
                 counters.exhaustive_illegal += 1
@@ -176,12 +234,11 @@ def exhaustive_search(
 
 
 def _greedy_complete(
-    goals: Sequence[Term],
+    memo: _GoalMemo,
     blocked_by: Dict[int, Set[int]],
     order: Tuple[int, ...],
     stats_list: List[GoalStats],
     node_states: VarState,
-    model: CostModel,
     multi_solution: bool,
     explored: int,
 ) -> Optional[OrderResult]:
@@ -194,7 +251,7 @@ def _greedy_complete(
     surrendered. Ties break toward the lower goal index, keeping the
     fallback deterministic. Returns None from a legality dead end.
     """
-    n = len(goals)
+    n = len(memo.goals)
     chosen = list(order)
     chosen_stats = list(stats_list)
     states = dict(node_states)
@@ -207,7 +264,7 @@ def _greedy_complete(
             if blocked_by[candidate] - used:
                 continue
             scratch = dict(states)
-            stats = model.goal_stats(goals[candidate], scratch)
+            stats = memo.stats(candidate, scratch)
             if stats is None:
                 continue
             explored += 1
@@ -245,10 +302,12 @@ def astar_search(
     ``node_budget`` caps the number of generated children; when it runs
     out, the cheapest open prefix is completed greedily (strategy
     ``astar-greedy``) so the block still gets a legal order instead of
-    an unbounded search. ``budget`` adds deadline/cancel checks per
-    expansion.
+    an unbounded search. A complete node popped first is optimal and
+    returned as ``astar`` whatever the budget. ``budget`` adds
+    deadline/cancel checks per expansion.
     """
     n = len(goals)
+    memo = _GoalMemo(goals, model)
     blocked_by: Dict[int, Set[int]] = {i: set() for i in range(n)}
     for before, after in constraints:
         blocked_by[after].add(before)
@@ -265,19 +324,6 @@ def astar_search(
         cost, _, order, stats_list, node_states = heapq.heappop(heap)
         if budget is not None:
             budget.check("goal_search.astar")
-        if node_budget is not None and explored >= node_budget:
-            if counters is not None and not exhausted:
-                counters.astar_budget_exhausted += 1
-            exhausted = True
-            # Greedily finish the cheapest open prefixes until one
-            # completes legally; every pop is still best-first.
-            result = _greedy_complete(
-                goals, blocked_by, order, stats_list, node_states,
-                model, multi_solution, explored,
-            )
-            if result is not None:
-                return result
-            continue
         if len(order) == n:
             evaluation = evaluate_sequence(stats_list)
             return OrderResult(
@@ -287,6 +333,19 @@ def astar_search(
                 explored=explored,
                 strategy="astar",
             )
+        if node_budget is not None and explored >= node_budget:
+            if counters is not None and not exhausted:
+                counters.astar_budget_exhausted += 1
+            exhausted = True
+            # Greedily finish the cheapest open prefixes until one
+            # completes legally; every pop is still best-first.
+            result = _greedy_complete(
+                memo, blocked_by, order, stats_list, node_states,
+                multi_solution, explored,
+            )
+            if result is not None:
+                return result
+            continue
         used = set(order)
         for candidate in range(n):
             if candidate in used:
@@ -295,7 +354,7 @@ def astar_search(
                 continue  # a must-precede goal is not placed yet
             explored += 1
             child_states = dict(node_states)
-            stats = model.goal_stats(goals[candidate], child_states)
+            stats = memo.stats(candidate, child_states)
             if stats is None:
                 if counters is not None:
                     counters.astar_pruned += 1

@@ -316,7 +316,12 @@ def reorder_clause_goals(
     """Reorder one clause body for one input mode.
 
     Returns the new goal list (original predicate names — renaming
-    happens later) and the chain evaluation of the new order."""
+    happens later) and the chain evaluation of the new order. A fact
+    has nothing to reorder: its ``true`` body comes back as is, with
+    the model's constant fact evaluation."""
+    if clause.is_fact:
+        evaluation = state.model.clause_body_evaluation(clause, mode)
+        return [deref(clause.body)], evaluation
     states: VarState = {}
     bind_head_states(clause.head, mode, states)
     new_goals, legal = goal_sequence.reorder(

@@ -19,7 +19,9 @@ from ...analysis.stratify import stratify
 from ...markov.backend import choose_backend
 from ...prolog.database import Clause, Database, body_goals, goals_to_body
 from ...prolog.terms import Atom, Struct, Term, deref, indicator_str
-from ...prolog.writer import clause_to_string
+# clause_to_string stays bound here for perfbench/tracing.py, which
+# wraps this module's binding as a writer span.
+from ...prolog.writer import clause_key, clause_to_string  # noqa: F401
 from ..specialize import build_dispatcher
 from .types import Indicator, ModeVersion
 
@@ -144,7 +146,9 @@ class VersionDedupPhase(Phase):
     versions of a predicate" (§VII). The canonical version is the
     first mode producing each body; later duplicates are dropped and
     all references rewritten — including self-references inside this
-    predicate's own (possibly recursive) clauses.
+    predicate's own (possibly recursive) clauses. Clauses are compared
+    by :func:`~repro.prolog.writer.clause_key`, which tells clauses
+    apart as their rendered text does, without rendering them.
     """
 
     name = "version dedup"
@@ -158,12 +162,12 @@ class VersionDedupPhase(Phase):
             return
         indicator = state.current
         versions = state.current_versions
-        by_shape: Dict[str, ModeVersion] = {}
+        by_shape: Dict[Tuple[object, ...], ModeVersion] = {}
         rename_map: Dict[str, str] = {}
         kept: List[ModeVersion] = []
         for version in versions:
-            shape = "\n".join(
-                clause_to_string(Clause(_strip_name(c.head), c.body).to_term())
+            shape = tuple(
+                clause_key(Clause(_strip_name(c.head), c.body).to_term())
                 for c in version.clauses
             )
             canonical = by_shape.get(shape)

@@ -150,3 +150,33 @@ class TestFindBestOrder:
         result = find_best_order(goals, states, model)
         x = head.args[0]
         assert result.states[id(x)] is Inst.GROUND
+
+
+class TestAStarNodeBudget:
+    SOURCE = "p(1, a). p(2, b). p(3, c). q(a). q(b)."
+
+    def _search(self, node_budget):
+        from repro.reorder.goal_search import SearchCounters
+
+        model = setup(self.SOURCE)
+        _, goals, states = goals_and_states(model, "f(X, Y)", "p(X, Y), q(Y)", "--")
+        counters = SearchCounters()
+        result = astar_search(
+            goals, states, model, set(), counters=counters, node_budget=node_budget
+        )
+        return result, counters
+
+    def test_complete_node_at_budget_is_optimal_astar(self):
+        # The fourth child completes the optimal order just as the
+        # budget runs out: it is A*'s answer, not a greedy fallback.
+        unbudgeted, _ = self._search(None)
+        result, counters = self._search(4)
+        assert unbudgeted.order == (1, 0) and unbudgeted.strategy == "astar"
+        assert result.order == unbudgeted.order
+        assert result.strategy == "astar"
+        assert counters.astar_budget_exhausted == 0
+
+    def test_partial_node_at_budget_completes_greedily(self):
+        result, counters = self._search(2)
+        assert result.strategy == "astar-greedy"
+        assert counters.astar_budget_exhausted == 1
