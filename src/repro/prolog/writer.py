@@ -142,8 +142,8 @@ class TermWriter:
             definition = self.operators.infix(term.name)
             if definition is None:
                 return None
-            left = self.write(term.args[0], definition.left_max)
-            right = self.write(term.args[1], definition.right_max)
+            left = self._write_operand(term.args[0], definition.left_max)
+            right = self._write_operand(term.args[1], definition.right_max)
             if term.name == ",":
                 text = f"{left}, {right}"
             else:
@@ -155,12 +155,21 @@ class TermWriter:
             definition = self.operators.prefix(term.name)
             if definition is None:
                 return None
-            operand = self.write(term.args[0], definition.right_max)
+            operand = self._write_operand(term.args[0], definition.right_max)
             text = f"{term.name} {operand}"
             if definition.priority > max_priority:
                 return f"({text})"
             return text
         return None
+
+    def _write_operand(self, term: Term, max_priority: int) -> str:
+        """An operator's operand. A bare operator atom is bracketed, so
+        ``-(-, -)`` prints as ``(-) - (-)`` and ``-(-(-))`` as
+        ``- - (-)``."""
+        term = deref(term)
+        if isinstance(term, Atom) and self.operators.is_operator(term.name):
+            return f"({self.atom_text(term.name)})"
+        return self.write(term, max_priority)
 
 
 def term_to_string(term: Term, operators: Optional[OperatorTable] = None) -> str:
@@ -197,9 +206,7 @@ def clause_key(clause: Term) -> Tuple[object, ...]:
     them alike: the key lists the term in the order the writer visits
     it, with functor names and arities, atoms, each number's type and
     spelling (``1`` is not ``1.0``) and each variable's display name as
-    a fresh writer would assign it. The one place the key is finer than
-    the text is an operator atom written bare as an operator's operand:
-    ``-(-, -)`` and ``-(-(-))`` both print as ``- - -``.
+    a fresh writer would assign it.
     """
     writer = TermWriter()
     tokens: List[object] = []

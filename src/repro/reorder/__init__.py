@@ -6,7 +6,6 @@ from .explain import explain_predicate
 from .pipeline import (
     AnalysisContext,
     CachedPredicateBuild,
-    Phase,
     PipelineState,
     ReorderPipeline,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_EXHAUSTIVE_LIMIT",
     "ModeVersion",
     "OrderResult",
-    "Phase",
     "PipelineState",
     "QueryCheck",
     "ReorderPipeline",

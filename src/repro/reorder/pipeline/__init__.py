@@ -1,49 +1,27 @@
 """The staged reordering pipeline.
 
-``reorder/system.py`` used to be a 900-line monolith running all phases
-inline; this package splits it into :class:`Phase` objects over a
-shared :class:`PipelineState`, with an incremental
-:class:`AnalysisContext` caching analyses and per-predicate builds
-across runs. ``Reorderer`` (in :mod:`repro.reorder.system`) survives
-as the thin facade everyone imports. See docs/REORDER_PIPELINE.md.
+``reorder/system.py`` used to be a 900-line monolith running all steps
+inline; this package splits it into plain functions over a shared
+:class:`PipelineState` (whole-program steps in :mod:`.phases`, the
+per-predicate version build in :mod:`.build`), run in order by
+:class:`ReorderPipeline`, with an incremental :class:`AnalysisContext`
+caching analyses and per-predicate builds across runs. ``Reorderer``
+(in :mod:`repro.reorder.system`) survives as the thin facade everyone
+imports. See docs/REORDER_PIPELINE.md.
 """
 
-from .build import (
-    GoalSequencePhase,
-    InnerControlPhase,
-    RuntimeGuardPhase,
-    VersionBuildPhase,
-)
 from .context import ANALYSIS_STAGES, AnalysisContext, CachedPredicateBuild
-from .phases import (
-    AnalysisSummaryPhase,
-    ModeEnumerationPhase,
-    OutputBuildPhase,
-    Phase,
-    ProcessingOrderPhase,
-    VersionDedupPhase,
-)
 from .runner import PipelineState, ReorderPipeline
 from .types import ModeVersion, ReorderOptions, ReorderReport, ReorderedProgram
 
 __all__ = [
     "ANALYSIS_STAGES",
     "AnalysisContext",
-    "AnalysisSummaryPhase",
     "CachedPredicateBuild",
-    "GoalSequencePhase",
-    "InnerControlPhase",
-    "ModeEnumerationPhase",
     "ModeVersion",
-    "OutputBuildPhase",
-    "Phase",
     "PipelineState",
-    "ProcessingOrderPhase",
     "ReorderOptions",
     "ReorderPipeline",
     "ReorderReport",
     "ReorderedProgram",
-    "RuntimeGuardPhase",
-    "VersionBuildPhase",
-    "VersionDedupPhase",
 ]

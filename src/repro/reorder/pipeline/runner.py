@@ -1,7 +1,7 @@
-"""Wiring and execution order of the reordering pipeline.
+"""Execution order of the reordering pipeline.
 
-:class:`ReorderPipeline` instantiates the nine phases, runs them over a
-:class:`PipelineState`, and — when an :class:`AnalysisContext` is
+:class:`ReorderPipeline` runs the pipeline's functions over a
+:class:`PipelineState` and — when an :class:`AnalysisContext` is
 attached — replays cached per-predicate builds instead of recomputing
 them. The cold path performs exactly the operations of the
 pre-pipeline ``Reorderer.reorder()`` in exactly the same order, so its
@@ -16,30 +16,25 @@ from ...analysis.modes import Mode
 from ...errors import BudgetExceededError
 from ...robustness import faults
 from ...robustness.budget import Budget
-from .build import (
-    GoalSequencePhase,
-    InnerControlPhase,
-    RuntimeGuardPhase,
-    VersionBuildPhase,
-)
+from .build import build_versions, verbatim_version
 from .context import AnalysisContext, CachedPredicateBuild
 from .phases import (
-    AnalysisSummaryPhase,
-    BackendSelectionPhase,
-    ModeEnumerationPhase,
-    OutputBuildPhase,
-    ProcessingOrderPhase,
+    build_output,
+    dedup_versions,
+    legal_modes,
+    processing_order,
+    select_backends,
+    summarize_analyses,
 )
-from .phases import VersionDedupPhase
 from .types import Indicator, ModeVersion, ReorderedProgram
 
 __all__ = ["PipelineState", "ReorderPipeline"]
 
 
 class PipelineState:
-    """Everything the phases read and write while reordering one
-    program: the analyses, the shared report/telemetry objects, and the
-    per-predicate scratch slots (``current*``)."""
+    """Everything the pipeline's functions read and write while
+    reordering one program: the analyses, the shared report/telemetry
+    objects, and the per-predicate budget and model overrides."""
 
     def __init__(
         self,
@@ -86,20 +81,9 @@ class PipelineState:
         self.phase_budget: Optional[Budget] = None
         #: Optional event bus (degraded/budget events).
         self.events = events
-        # Whole-program results.
-        self.order: List[Indicator] = []
-        self.versions: Dict[Tuple[Indicator, Mode], ModeVersion] = {}
-        self.output = None
-        # Per-predicate scratch (reset per indicator by the runner).
-        self.current: Optional[Indicator] = None
-        self.current_modes: List[Mode] = []
-        self.current_versions: List[ModeVersion] = []
-        self.current_specialized = False
+        #: Cost-model overrides of the predicate being built, reset per
+        #: fresh build so a failed build can take them back.
         self.current_overrides: List[Tuple[Mode, object]] = []
-        # Nested sub-phase request slots.
-        self.sequence_request = None
-        self.control_request = None
-        self.guard_request = None
         # Run-local warning accumulators: the mode-inference and
         # cost-model warning streams of *this* run, in emission order.
         # With a reused context the underlying analyses keep warnings
@@ -110,40 +94,13 @@ class PipelineState:
 
 
 class ReorderPipeline:
-    """The ten phases, in execution order, over one PipelineState."""
+    """Runs the pipeline's functions, in order, over one PipelineState."""
 
     def __init__(self, state: PipelineState):
         self.state = state
-        self.analysis_summary = AnalysisSummaryPhase()
-        self.processing_order = ProcessingOrderPhase()
-        self.mode_enumeration = ModeEnumerationPhase()
-        self.goal_sequence = GoalSequencePhase()
-        self.inner_control = InnerControlPhase(self.goal_sequence)
-        self.runtime_guards = RuntimeGuardPhase(
-            self.goal_sequence, self.inner_control
-        )
-        self.version_build = VersionBuildPhase(
-            self.goal_sequence, self.inner_control, self.runtime_guards
-        )
-        self.version_dedup = VersionDedupPhase()
-        self.output_build = OutputBuildPhase()
-        self.backend_selection = BackendSelectionPhase()
-        #: All phases, in the order their work happens.
-        self.phases = (
-            self.analysis_summary,
-            self.processing_order,
-            self.mode_enumeration,
-            self.version_build,
-            self.goal_sequence,
-            self.inner_control,
-            self.runtime_guards,
-            self.version_dedup,
-            self.output_build,
-            self.backend_selection,
-        )
 
     def run(self) -> ReorderedProgram:
-        """Execute all phases and return the reordered program.
+        """Run the whole pipeline and return the reordered program.
 
         Per-predicate failure isolation: any exception out of one
         predicate's build (injected fault, per-predicate deadline, a
@@ -155,10 +112,9 @@ class ReorderPipeline:
         state = self.state
         if state.budget is not None:
             state.budget.start()
-        self.analysis_summary.run(state)
-        self.processing_order.run(state)
-        for indicator in state.order:
-            state.current = indicator
+        summarize_analyses(state)
+        versions: Dict[Tuple[Indicator, Mode], ModeVersion] = {}
+        for indicator in processing_order(state):
             if state.budget is not None:
                 state.budget.check("phase.build")
             if state.options.phase_timeout is not None:
@@ -169,25 +125,26 @@ class ReorderPipeline:
             try:
                 if faults.ACTIVE is not None:
                     faults.ACTIVE.hit("phase.build")
-                if not self._replay_cached(indicator):
-                    self._build_fresh(indicator)
+                built = self._replay_cached(indicator)
+                if built is None:
+                    built = self._build_fresh(indicator, snapshot)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
                 if self._whole_run_exhausted(exc):
                     raise
-                self._degrade(indicator, exc, snapshot)
+                built = self._degrade(indicator, exc, snapshot)
             finally:
                 state.phase_budget = None
-            for version in state.current_versions:
-                state.versions[(version.indicator, version.mode)] = version
-        self.output_build.run(state)
-        self.backend_selection.run(state)
+            for version in built:
+                versions[(version.indicator, version.mode)] = version
+        output = build_output(state, versions)
+        select_backends(state)
         state.report.warnings.extend(state.run_modes_warnings)
         state.report.warnings.extend(state.run_model_warnings)
         return ReorderedProgram(
-            state.output,
-            state.versions,
+            output,
+            versions,
             state.report,
             state.database,
             version_names=dict(state.version_names),
@@ -248,7 +205,9 @@ class ReorderPipeline:
             state.model.remove_override(indicator, mode)
         state.current_overrides = []
 
-    def _degrade(self, indicator: Indicator, exc: Exception, snapshot) -> None:
+    def _degrade(
+        self, indicator: Indicator, exc: Exception, snapshot
+    ) -> List[ModeVersion]:
         """Fall back to the predicate's source clauses after a failed
         build: roll back the build's side effects, register a verbatim
         version under the original name (exactly the shape the
@@ -257,17 +216,7 @@ class ReorderPipeline:
         state = self.state
         self._rollback(indicator, snapshot)
         reason = f"{type(exc).__name__}: {exc}"
-        version = ModeVersion(
-            indicator=indicator,
-            mode=(),
-            name=indicator[0],
-            clauses=list(state.database.clauses(indicator)),
-            estimate=None,
-            original_estimate=None,
-        )
-        state.version_names[(indicator, ())] = indicator[0]
-        state.current_versions = [version]
-        state.current_specialized = False
+        version = verbatim_version(state, indicator)
         state.report.degraded[indicator] = reason
         state.report.warnings.append(
             f"degraded {indicator[0]}/{indicator[1]} to source order: {reason}"
@@ -278,32 +227,31 @@ class ReorderPipeline:
             state.events.emit(
                 DegradedEvent(indicator=indicator, phase="build", reason=reason)
             )
+        return [version]
 
     # -- one predicate, fresh ---------------------------------------------
 
-    def _build_fresh(self, indicator: Indicator) -> None:
+    def _build_fresh(self, indicator: Indicator, snapshot) -> List[ModeVersion]:
         """Run mode enumeration, version build and dedup for one
         predicate, capturing every side effect for later replay when a
-        context is attached."""
+        context is attached. ``snapshot`` is :meth:`_snapshot`'s, taken
+        just before."""
         state = self.state
-        caching = state.context is not None
-        log_start = len(state.report._log)
-        warn_start = len(state.report.warnings)
-        modes_start = len(state.modes.warnings)
-        model_start = len(state.model.warnings)
-        names_start = len(state.version_names)
+        log_start, warn_start, modes_start, model_start, names_start = snapshot[:5]
         state.current_overrides = []
 
-        self.mode_enumeration.run(state)
-        self.version_build.run(state)
-        self.version_dedup.run(state)
+        built, specialized = build_versions(
+            state, indicator, legal_modes(state, indicator)
+        )
+        if specialized:
+            built = dedup_versions(state, indicator, built)
 
         modes_delta = list(state.modes.warnings[modes_start:])
         model_delta = list(state.model.warnings[model_start:])
         state.run_modes_warnings.extend(modes_delta)
         state.run_model_warnings.extend(model_delta)
-        if not caching:
-            return
+        if state.context is None:
+            return built
         # Capture this predicate's registrations in insertion order.
         # Dedup rewrites names in place (no reinsertion), so slicing the
         # ordered dict view from names_start is exact for new entries;
@@ -322,7 +270,7 @@ class ReorderPipeline:
             indicator,
             CachedPredicateBuild(
                 indicator=indicator,
-                versions=list(state.current_versions),
+                versions=list(built),
                 version_names=new_names,
                 notes=notes,
                 report_warnings=list(state.report.warnings[warn_start:]),
@@ -331,19 +279,20 @@ class ReorderPipeline:
                 overrides=list(state.current_overrides),
             ),
         )
+        return built
 
     # -- one predicate, from cache ----------------------------------------
 
-    def _replay_cached(self, indicator: Indicator) -> bool:
-        """Serve one predicate from the context cache, replaying the
-        side effects a fresh build would have had. Returns False on a
-        miss (or when no context is attached)."""
+    def _replay_cached(self, indicator: Indicator) -> Optional[List[ModeVersion]]:
+        """Serve one predicate's versions from the context cache,
+        replaying the side effects a fresh build would have had.
+        Returns None on a miss (or when no context is attached)."""
         state = self.state
         if state.context is None:
-            return False
+            return None
         build = state.context.build_for(indicator)
         if build is None:
-            return False
+            return None
         for mode, name in build.version_names:
             state.version_names[(indicator, mode)] = name
         for mode, stats in build.overrides:
@@ -353,5 +302,4 @@ class ReorderPipeline:
         state.report.warnings.extend(build.report_warnings)
         state.run_modes_warnings.extend(build.modes_warnings)
         state.run_model_warnings.extend(build.model_warnings)
-        state.current_versions = list(build.versions)
-        return True
+        return list(build.versions)

@@ -8,7 +8,7 @@ production code declares::
 
     engine.call          Engine._charge_call (every predicate call)
     tabling.complete     the tabling fixpoint loop
-    phase.build          ReorderPipeline, per-predicate build
+    phase.build          ReorderPipeline.run, once per predicate build
     calibration.worker   the parallel-calibration worker task
     serve.request        QueryServer request execution (worker thread,
                          before the engine runs — a ``hang`` here

@@ -171,11 +171,13 @@ class TestSharedOperatorTable:
 # Leaves drawn from small pools, so that equal renderings are common:
 # 1 beside 1.0, two distinct variables named X (the second prints as
 # X1) beside one actually named X1, anonymous variables, and atoms that
-# need quotes. Bare operator atoms stay out (see test_operator_atom_operands).
+# need quotes, and bare operator atoms, which print in parentheses as
+# operands.
 _VARIABLES = [Var("X"), Var("X"), Var("X1"), Var("_"), Var("_"), Var("Y")]
+_OPERATOR_ATOMS = [Atom("-"), Atom("+"), Atom("mod"), Atom(";"), Atom("\\+")]
 _LEAVES = st.sampled_from(
     [Atom("a"), Atom("[]"), Atom("hello world"), Atom("A"), Atom("it's"),
-     1, 1.0, -1, 2.5, -0.0, 0.0] + _VARIABLES
+     1, 1.0, -1, 2.5, -0.0, 0.0] + _OPERATOR_ATOMS + _VARIABLES
 )
 _FUNCTORS = [
     ("f", 1), ("f", 2), ("g", 2), ("+", 2), ("-", 1), ("-", 2), (",", 2),
@@ -205,7 +207,7 @@ def _near_misses(nodes):
     distinct variables named X against X and X1, two anonymous
     variables against one used twice, ...)."""
     if nodes == 1:
-        return [Atom("a"), 1, 1.0, 0.0, -0.0] + _VARIABLES[:5]
+        return [Atom("a"), Atom("-"), 1, 1.0, 0.0, -0.0] + _VARIABLES[:5]
     terms = [
         Struct(name, (inner,))
         for name in ("f", "-")
@@ -270,10 +272,52 @@ class TestClauseKey:
         assert (clause_to_string(first) == clause_to_string(second)) is same
 
     def test_operator_atom_operands(self):
-        # The writer prints these two different terms alike; the key,
-        # which follows the structure, keeps them apart.
+        # Bracketed operator atoms keep these two terms apart in the
+        # text as in the key.
         minus = Atom("-")
         infix = Struct("-", (minus, minus))
         prefix = Struct("-", (Struct("-", (minus,)),))
-        assert clause_to_string(infix) == clause_to_string(prefix) == "- - -."
+        assert clause_to_string(infix) == "(-) - (-)."
+        assert clause_to_string(prefix) == "- - (-)."
         assert clause_key(infix) != clause_key(prefix)
+
+
+_ATOM_TERMS = st.recursive(
+    st.sampled_from([Atom("a"), Atom("it's")] + _OPERATOR_ATOMS + _VARIABLES),
+    lambda inner: st.sampled_from(_FUNCTORS).flatmap(
+        lambda functor: st.tuples(*[inner] * functor[1]).map(
+            lambda args: Struct(functor[0], args)
+        )
+    ),
+    max_leaves=6,
+)
+
+
+class TestOperatorAtomOperands:
+    MINUS = Atom("-")
+
+    @pytest.mark.parametrize(
+        "term, text",
+        [
+            (Struct("-", (MINUS, MINUS)), "(-) - (-)"),
+            (Struct("-", (Struct("-", (MINUS,)),)), "- - (-)"),
+            (Struct("-", (MINUS,)), "- (-)"),
+            (Struct("=", (Var("X"), Atom("+"))), "X = (+)"),
+            (Struct("+", (Atom("a"), Atom("mod"))), "a + (mod)"),
+            (Struct(";", (Atom(";"), Atom("\\+"))), "(;) ; (\\+)"),
+            (Struct("f", (MINUS, Atom("+"))), "f(-, +)"),
+            (make_list([MINUS]), "[-]"),
+        ],
+    )
+    def test_round_trip(self, term, text):
+        assert term_to_string(term) == text
+        reparsed = parse_term(text)
+        assert clause_key(reparsed) == clause_key(term)
+
+    @given(_ATOM_TERMS)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_terms_read_back(self, term):
+        # Numbers stay out: ``-(1)`` prints as ``- 1``, which reads back
+        # as the integer -1.
+        reparsed = parse_term(term_to_string(term))
+        assert clause_key(reparsed) == clause_key(term)

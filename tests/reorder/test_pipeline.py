@@ -11,12 +11,7 @@ import json
 from repro.observability.events import CacheEvent, EventBus
 from repro.programs import REGISTRY
 from repro.prolog import Database
-from repro.reorder import (
-    AnalysisContext,
-    Reorderer,
-    ReorderOptions,
-    ReorderPipeline,
-)
+from repro.reorder import AnalysisContext, Reorderer, ReorderOptions
 from repro.reorder.pipeline.context import ANALYSIS_STAGES, BUILD_STAGE
 
 SMALL = """
@@ -181,15 +176,3 @@ class TestFacadeSafety:
         else:
             raise AssertionError("expected ValueError for foreign context")
 
-
-class TestPhaseDeclarations:
-    def test_phases_declare_names_inputs_outputs(self):
-        pipeline = ReorderPipeline(None)
-        names = [phase.name for phase in pipeline.phases]
-        assert len(names) == len(set(names)) == 10
-        for phase in pipeline.phases:
-            assert isinstance(phase.name, str) and phase.name
-            assert isinstance(phase.inputs, tuple)
-            assert isinstance(phase.outputs, tuple)
-            assert all(isinstance(item, str) for item in phase.inputs)
-            assert all(isinstance(item, str) for item in phase.outputs)
