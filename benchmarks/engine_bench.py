@@ -16,7 +16,8 @@ Usage::
     PYTHONPATH=src python benchmarks/engine_bench.py \
         --check BENCH_engine.json --tolerance 2.0
 
-Workloads (all run on the default compiled engine):
+Workloads (all run on the default engine — the bytecode VM — except the
+three generator baselines the ``*_vm`` workloads are gated against):
 
 ``indexed_point_lookup``
     One fact out of 5000 via first-argument indexing — the best case.
@@ -25,11 +26,12 @@ Workloads (all run on the default compiled engine):
     i.e. the raw clause-try rate. Compiled fingerprints fast-reject
     4999 of the tries.
 ``deep_conjunction``
-    A 24-goal flat conjunction of fact lookups — exercises the
-    flattened goal-list loop that replaced the nested generator ladder.
+    A 24-goal flat conjunction of fact lookups on the generator path
+    (``vm=False``) — exercises the flattened goal-list loop that
+    replaced the nested generator ladder.
 ``arith_chain``
-    A 24-goal ``is/2`` chain — deep conjunction dominated by builtin
-    dispatch rather than clause resolution.
+    A 24-goal ``is/2`` chain on the generator path — deep conjunction
+    dominated by builtin dispatch rather than clause resolution.
 ``unindexed_join``
     A two-literal join over unindexed facts — clause tries plus real
     backtracking. The engine's bulk scan plans short-circuit the
@@ -114,7 +116,7 @@ def _deep_conjunction_source():
 
 def workload_deep_conjunction():
     return (
-        Engine.from_source(_deep_conjunction_source()),
+        Engine.from_source(_deep_conjunction_source(), vm=False),
         parse_term("chain"),
         1,
     )
@@ -135,7 +137,7 @@ def _arith_chain_source():
 
 def workload_arith_chain():
     return (
-        Engine.from_source(_arith_chain_source()),
+        Engine.from_source(_arith_chain_source(), vm=False),
         parse_term("chain(X)"),
         1,
     )
@@ -164,7 +166,7 @@ def _builtin_heavy_source():
 
 def workload_builtin_heavy():
     return (
-        Engine.from_source(_builtin_heavy_source()),
+        Engine.from_source(_builtin_heavy_source(), vm=False),
         parse_term("chain(X)"),
         1,
     )

@@ -275,7 +275,6 @@ def command_run(args: argparse.Namespace) -> int:
     engine = Engine(
         database,
         table_all=args.table_all,
-        vm=getattr(args, "vm", False),
         budget=_deadline_budget(args),
         eval_strategy=getattr(args, "eval_strategy", "topdown"),
     )
@@ -898,13 +897,16 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file")
     analyze.set_defaults(handler=command_analyze)
 
-    run = commands.add_parser("run", help="run a query against a file")
+    run = commands.add_parser(
+        "run", help="run a query against a file",
+        description="Run a query against a file. Top-down queries run on "
+                    "the bytecode VM; --profile and --json attach an "
+                    "event bus, which runs them on the instrumented "
+                    "generator path (same answers and counters; see "
+                    "docs/VM.md).",
+    )
     run.add_argument("file")
     run.add_argument("query")
-    run.add_argument("--vm", action="store_true",
-                     help="execute on the bytecode VM trampoline instead of "
-                          "the generator clause loop (same answers and "
-                          "counters; see docs/VM.md)")
     run.add_argument("--dump-bytecode", action="store_true",
                      help="print the compiled bytecode of every predicate "
                           "to stderr before running")

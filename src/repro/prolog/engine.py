@@ -6,14 +6,19 @@ left to right, backtracking on failure. Implementation is generator
 based — ``solve_goal`` yields once per solution — with a WAM-style
 binding trail undone between alternatives.
 
-Clause attempts run on compiled skeletons by default (see
+Clause attempts run on compiled skeletons (see
 :mod:`repro.prolog.compile`): heads are instantiated from slot-numbered
 build programs and bodies are materialized lazily, only after the head
-unifies, so a failed attempt never copies the body. Conjunctions run as
-a flat goal-list loop (:meth:`Engine._solve_body`) instead of a nested
-generator ladder. ``Engine(compiled=False)`` restores the interpreted
-rename-per-attempt path, which the differential tests hold the compiled
-path against, solution for solution and counter for counter.
+unifies, so a failed attempt never copies the body. By default an
+uninstrumented user-predicate call runs on the bytecode trampoline of
+:mod:`repro.prolog.vm`; the generator clause loop
+(:meth:`Engine._solve_user_compiled`, whose conjunctions run as the flat
+goal-list loop :meth:`Engine._solve_body`) takes every call that has a
+tracer, event bus or recorder attached, and every call of
+``Engine(vm=False)``. ``Engine(compiled=False)`` restores the
+interpreted rename-per-attempt path, which the differential tests hold
+both compiled paths against, solution for solution and counter for
+counter.
 
 Cut is implemented with per-call *frames*: executing ``!`` succeeds
 immediately; when it is asked for another solution it sets the frame's
@@ -67,19 +72,11 @@ from .terms import (
     term_variables,
 )
 from .unify import Trail, unify
+from .vm import Frame, solve_vm
 
 __all__ = ["Engine", "Frame", "Solution"]
 
 Indicator = Tuple[str, int]
-
-
-class Frame:
-    """A cut barrier: one per predicate call (and per local-cut context)."""
-
-    __slots__ = ("cut",)
-
-    def __init__(self) -> None:
-        self.cut = False
 
 
 class Solution:
@@ -189,7 +186,7 @@ class Engine:
         table_all: bool = False,
         adjust_recursion_limit: bool = True,
         compiled: bool = True,
-        vm: bool = False,
+        vm: bool = True,
         budget: Optional[Budget] = None,
         eval_strategy: str = "topdown",
     ):
@@ -241,27 +238,12 @@ class Engine:
         #: producer, which calls ``engine._solve_user`` directly) pays
         #: no per-call branching.
         self.compiled = compiled
-        #: Run user-predicate calls on the bytecode trampoline (see
-        #: :mod:`repro.prolog.vm`) instead of the generator clause
-        #: loop. Implies ``compiled``: the VM executes the same slot
-        #: skeletons, lowered one step further to linear bytecode.
-        if vm and not compiled:
-            raise ValueError("vm=True requires compiled=True")
-        self.vm = vm
         #: Clause-selection memo for the VM call path, keyed by
         #: ``(indicator, arg_keys)`` with the database generation
         #: stored in each cell — index probes are a pure function of
         #: the argument keys, so a generation-validated hit skips the
         #: defines/matching/compiled-program lookups entirely.
         self._vm_call_cache: dict = {}
-        if vm:
-            self._solve_user = self._solve_user_vm
-        else:
-            self._solve_user = (
-                self._solve_user_compiled
-                if compiled
-                else self._solve_user_interpreted
-            )
         #: Evaluation strategy: ``"topdown"`` (the default — pure SLD,
         #: counters byte-identical to every earlier release),
         #: ``"bottomup"`` (route every eligible datalog-like stratum to
@@ -277,6 +259,20 @@ class Engine:
             from .bottomup import BottomUpDispatcher
 
             self._bottomup = BottomUpDispatcher(eval_strategy)
+        #: Run uninstrumented user-predicate calls on the bytecode
+        #: trampoline (see :mod:`repro.prolog.vm`) — the default — or,
+        #: with ``vm=False``, on the generator clause loop. The VM
+        #: executes the same slot skeletons, lowered one step further
+        #: to linear bytecode, so ``compiled=False`` turns it off too;
+        #: so does a bottom-up dispatcher, which must see every call
+        #: the VM's inline call entry would bypass.
+        self.vm = vm and compiled and self._bottomup is None
+        if self.vm:
+            self._solve_user = self._solve_user_vm
+        elif compiled:
+            self._solve_user = self._solve_user_compiled
+        else:
+            self._solve_user = self._solve_user_interpreted
         if adjust_recursion_limit:
             # Short-lived engines (calibration samples) pass False and
             # rely on one up-front ensure_recursion_capacity call.
@@ -562,29 +558,23 @@ class Engine:
         """Bytecode-VM dispatch for one user-predicate call.
 
         The trampoline (:mod:`repro.prolog.vm`) runs only on the
-        uninstrumented fast path; when a tracer, event bus, recorder,
-        or bottom-up dispatcher is attached the call routes to the
-        generator oracle instead, so instrumented runs are
-        event-for-event identical to the PR 3 path by construction —
-        the same contract the scan plans already follow (bus off only).
-        The check is per call, so attaching a recorder mid-session
-        flips the very next call.
+        uninstrumented fast path; when a tracer, event bus or recorder
+        is attached the call routes to the generator instead, so
+        instrumented runs are event-for-event identical to it by
+        construction — the same contract the scan plans already follow
+        (bus off only). The check is per call, so attaching a recorder
+        mid-session flips the very next call.
         """
-        if (
-            self.tracer is not None
-            or self.events is not None
-            or self.recorder is not None
-            or self._bottomup is not None
-        ):
-            return self._solve_user_compiled(goal, indicator, depth)
-        from .vm import solve_vm
-
-        return solve_vm(self, goal, indicator, depth)
+        if self.tracer is None and self.events is None and self.recorder is None:
+            args = goal.args if indicator[1] else ()
+            return solve_vm(self, indicator, args, depth, [])
+        return self._solve_user_compiled(goal, indicator, depth)
 
     def _solve_user_compiled(
         self, goal: Term, indicator: Indicator, depth: int
     ) -> Iterator[None]:
-        """The default clause-try loop, on compiled skeletons.
+        """The generator clause-try loop, on compiled skeletons: the
+        instrumented fallback of the VM and the ``vm=False`` baseline.
 
         Per attempt: the cached head fingerprints reject calls where
         *any* bound argument's key cannot match (no allocation at all),

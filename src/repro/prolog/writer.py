@@ -156,6 +156,10 @@ class TermWriter:
             if definition is None:
                 return None
             operand = self._write_operand(term.args[0], definition.right_max)
+            if term.name == "-" and operand[:1].isdigit():
+                # ``- 1`` (or ``- 1 ** a``) would read back with the
+                # integer -1: the canonical form ``-(1)`` keeps the term.
+                return None
             text = f"{term.name} {operand}"
             if definition.priority > max_priority:
                 return f"({text})"

@@ -61,10 +61,11 @@ def assert_equivalent(source, query, limit=None):
     must be identical to the compiled one on the *full* counter set
     including the compilation-specific charges.
     """
-    compiled = Engine.from_source(source)
+    compiled = Engine.from_source(source, vm=False)
     reference = Engine.from_source(source, compiled=False)
     machine = Engine.from_source(source, vm=True)
-    assert compiled.compiled and not reference.compiled and machine.vm
+    assert compiled.compiled and not compiled.vm
+    assert not reference.compiled and machine.vm
 
     compiled_solutions = compiled.ask(query, limit=limit)
     reference_solutions = reference.ask(query, limit=limit)

@@ -22,8 +22,10 @@ class TestTypedErrors:
         assert "depth 50 exceeded" in str(info.value)
 
     def test_recursion_error_becomes_typed(self):
+        # The generator path nests Python frames per Prolog level, so
+        # it is the one that can hit the interpreter's recursion limit.
         eng = Engine.from_source(
-            LOOP, max_depth=10_000_000, adjust_recursion_limit=False
+            LOOP, max_depth=10_000_000, adjust_recursion_limit=False, vm=False
         )
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(700)
@@ -33,6 +35,21 @@ class TestTypedErrors:
         finally:
             sys.setrecursionlimit(limit)
         assert "recursion limit" in str(info.value)
+
+    def test_vm_depth_limit_under_low_recursion_limit(self):
+        # The VM keeps Prolog depth off the Python stack: a recursion
+        # limit far below max_depth still ends in the typed depth error.
+        eng = Engine.from_source(
+            LOOP, max_depth=5000, adjust_recursion_limit=False
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(700)
+        try:
+            with pytest.raises(DepthLimitExceeded) as info:
+                eng.ask("loop")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert "depth 5000 exceeded" in str(info.value)
 
 
 class TestRecursionCapacity:

@@ -283,7 +283,10 @@ class TestClauseKey:
 
 
 _ATOM_TERMS = st.recursive(
-    st.sampled_from([Atom("a"), Atom("it's")] + _OPERATOR_ATOMS + _VARIABLES),
+    st.sampled_from(
+        [Atom("a"), Atom("it's"), 1, 1.5, -1, 0, -2.5]
+        + _OPERATOR_ATOMS + _VARIABLES
+    ),
     lambda inner: st.sampled_from(_FUNCTORS).flatmap(
         lambda functor: st.tuples(*[inner] * functor[1]).map(
             lambda args: Struct(functor[0], args)
@@ -307,6 +310,9 @@ class TestOperatorAtomOperands:
             (Struct(";", (Atom(";"), Atom("\\+"))), "(;) ; (\\+)"),
             (Struct("f", (MINUS, Atom("+"))), "f(-, +)"),
             (make_list([MINUS]), "[-]"),
+            (Struct("-", (1,)), "-(1)"),
+            (Struct("-", (1.5,)), "-(1.5)"),
+            (Struct("-", (Struct("-", (1,)),)), "- -(1)"),
         ],
     )
     def test_round_trip(self, term, text):
@@ -317,7 +323,5 @@ class TestOperatorAtomOperands:
     @given(_ATOM_TERMS)
     @settings(max_examples=200, deadline=None)
     def test_generated_terms_read_back(self, term):
-        # Numbers stay out: ``-(1)`` prints as ``- 1``, which reads back
-        # as the integer -1.
         reparsed = parse_term(term_to_string(term))
         assert clause_key(reparsed) == clause_key(term)

@@ -197,20 +197,21 @@ def test_fault_matrix_no_unhandled_traceback(site, kind, family_file, capsys):
 
 
 @pytest.mark.parametrize("kind", ["raise", "hang", "exhaust"])
-def test_fault_matrix_vm_engine_call(kind, family_file, capsys):
-    """The engine.call row of the matrix, re-run on the bytecode VM.
+def test_fault_matrix_generator_engine_call(kind, family_file, capsys):
+    """The engine.call row of the matrix, re-run on the generator path.
 
-    The trampoline charges ``engine.call`` through the same
-    ``Engine._charge_call`` hook as the generator path, so an armed
-    fault must surface identically: one ``error:`` line, the mapped
-    exit code, never a traceback.
+    A plain ``run`` executes on the bytecode VM; ``--profile`` attaches
+    an event bus, which sends every call to the generator clause loop.
+    Both charge ``engine.call`` through the same ``Engine._charge_call``
+    hook, so an armed fault must surface identically: one ``error:``
+    line, the mapped exit code, never a traceback.
     """
     argv, expected = _matrix_invocation("engine.call", kind, family_file)
-    argv = argv[:3] + ["--vm"] + argv[3:]
+    argv = argv[:3] + ["--profile"] + argv[3:]
     exit_code = main(argv)
     captured = capsys.readouterr()
     assert exit_code in expected, (
-        f"vm engine.call:{kind} exited {exit_code}, wanted {expected}\n"
+        f"generator engine.call:{kind} exited {exit_code}, wanted {expected}\n"
         f"stderr: {captured.err}"
     )
     assert "Traceback" not in captured.err

@@ -73,7 +73,7 @@ class TestCliTimeoutOnVm:
         program.write_text(STORM_PROGRAM)
         start = time.perf_counter()
         exit_code = main(
-            ["run", str(program), "storm", "--vm", "--timeout", "0.3"]
+            ["run", str(program), "storm", "--timeout", "0.3"]
         )
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
@@ -89,8 +89,7 @@ class TestCliTimeoutOnVm:
     def test_run_vm_completes_within_generous_timeout(self, family_file,
                                                       capsys):
         exit_code = main(
-            ["run", family_file, "grandmother(X, Y)", "--vm",
-             "--timeout", "30"]
+            ["run", family_file, "grandmother(X, Y)", "--timeout", "30"]
         )
         assert exit_code == 0
         assert "solution(s)" in capsys.readouterr().out
